@@ -19,6 +19,7 @@ import platform
 
 import pytest
 
+from repro.core.flat_store import resolve_store
 from repro.experiments.figures import ExperimentConfig
 
 
@@ -29,15 +30,18 @@ def emit_bench(name, measured, required, json_path, params=None, smoke=False):
     Every gate script emits through this helper so the artifacts stay
     machine-comparable across PRs: the gate's single headline ratio
     (``measured_speedup`` vs. ``required_speedup``), its workload
-    parameters and per-arm timings under ``params``, and a host
-    fingerprint so numbers from different machines are never naively
-    compared. Returns the path written.
+    parameters and per-arm timings under ``params``, the default bucket
+    backend the run resolved (``REPRO_STORE``, so the ``tuple`` and
+    ``flat`` CI lanes' artifacts are told apart), and a host fingerprint
+    so numbers from different machines are never naively compared.
+    Returns the path written.
     """
     payload = {
         "benchmark": name,
         "measured_speedup": round(float(measured), 2),
         "required_speedup": required,
         "params": params or {},
+        "store": resolve_store(None),
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),

@@ -74,7 +74,7 @@ from repro.database.relation import row_sort_key
 from repro.query.cq import ConjunctiveQuery
 from repro.query.free_connex import free_connex_report
 
-from repro.core import access_engine, flat_store
+from repro.core import access_engine
 from repro.core.errors import NotFreeConnexError, OutOfBoundError
 from repro.core.order_tree import OrderedWeightTree, TreeRow
 from repro.core.reduction import ReducedJoin, ReducedNode, reduce_to_full_acyclic
@@ -166,10 +166,8 @@ class _DynamicBucket:
         return ((node.row, node.weight) for node in self.tree)
 
     # -- Row-keyed maintenance API ------------------------------------- #
-    # The forest's write paths address rows by value, never by handle, so
-    # the flat backend (whose handles are slab row ids, not TreeRow
-    # objects) plugs in behind the identical call sites — see
-    # :class:`repro.core.flat_store.FlatDynamicBucket`.
+    # The forest's write paths address rows by value, never by handle:
+    # the ``rank`` map resolves a row to its TreeRow.
 
     def has_row(self, row: tuple) -> bool:
         """Is the row materialized here (tombstones included)?"""
@@ -462,19 +460,10 @@ class IndexSnapshot(EngineServingMixin):
     #: Snapshots are read-only; the service must never route writes here.
     supports_updates = False
 
-    def __init__(
-        self,
-        roots,
-        head_variables: Tuple[str, ...],
-        version: int,
-        store: str = "tuple",
-    ):
+    def __init__(self, roots, head_variables: Tuple[str, ...], version: int):
         self.roots = roots
         self.head_variables = head_variables
         self.version = version
-        #: The publishing forest's bucket backend — carried on the
-        #: snapshot so per-backend read accounting works on pinned views.
-        self.store = store
 
     def __repr__(self) -> str:
         return (f"IndexSnapshot(version={self.version}, "
@@ -504,25 +493,20 @@ class DynamicJoinForest(EngineServingMixin):
     compact_fraction:
         Tombstone fraction above which a bucket compacts
         (:data:`DEFAULT_COMPACT_FRACTION` by default).
-    store:
-        Bucket backend: ``"tuple"`` (object treaps) or ``"flat"`` (slab
-        treaps over preallocated arrays —
-        :class:`~repro.core.flat_store.FlatDynamicBucket`). ``None``
-        resolves via :func:`repro.core.flat_store.resolve_store`.
     """
+
+    #: Bucket backend: every dynamic bucket is an object treap
+    #: (:class:`_DynamicBucket`), whatever ``store=`` a caller chose for
+    #: the static indexes — the columnar layout is static-only.
+    store = "tuple"
 
     def __init__(
         self,
         reduced: ReducedJoin,
         on_presence_change: Optional[PresenceHook] = None,
         compact_fraction: float = DEFAULT_COMPACT_FRACTION,
-        store: Optional[str] = None,
     ):
         self.reduced = reduced
-        self.store = flat_store.resolve_store(store)
-        self._bucket_factory = (
-            flat_store.FlatDynamicBucket if self.store == "flat" else _DynamicBucket
-        )
         self.head_variables: Tuple[str, ...] = tuple(reduced.head_variables)
         self.on_presence_change = on_presence_change
         self.compact_fraction = compact_fraction
@@ -575,7 +559,7 @@ class DynamicJoinForest(EngineServingMixin):
             # and repeated-variable positions are determined by the
             # normalized row), and base relations are sets — so every
             # loaded row is one base fact: multiplicity 1.
-            node.buckets[key] = self._bucket_factory.from_sorted_rows(
+            node.buckets[key] = _DynamicBucket.from_sorted_rows(
                 [(row, node.own_weight(row), 1) for row in rows]
             )
             for row in rows:
@@ -708,7 +692,7 @@ class DynamicJoinForest(EngineServingMixin):
             if not any(delta > 0 for __, delta in direct):
                 # Pure no-op deletes: like _apply, never allocate a bucket.
                 return False
-            bucket = node.buckets[key] = self._bucket_factory()
+            bucket = node.buckets[key] = _DynamicBucket()
         self._mark_dirty(node, key)
         old_total = bucket.total
         touched = set(recompute)
@@ -756,7 +740,7 @@ class DynamicJoinForest(EngineServingMixin):
                 # node.buckets.
                 return
             if bucket is None:
-                bucket = node.buckets[key] = self._bucket_factory()
+                bucket = node.buckets[key] = _DynamicBucket()
             old_total = bucket.total
             self._mark_dirty(node, key)
             bucket.add_row(row, node.own_weight(row), delta)
@@ -912,9 +896,7 @@ class DynamicJoinForest(EngineServingMixin):
         roots = [rebuild(root) for root in self.roots]
         self._snapshot_nodes = new_nodes
         self.publishes += 1
-        snapshot = IndexSnapshot(
-            roots, self.head_variables, self.publishes, store=self.store
-        )
+        snapshot = IndexSnapshot(roots, self.head_variables, self.publishes)
         self._snapshot = snapshot  # the atomic publication point
         return snapshot
 
@@ -937,7 +919,7 @@ class DynamicCQIndex(DynamicJoinForest):
     database:
         The initial database (may be empty; relations must exist with the
         right arities).
-    on_presence_change, compact_fraction, store:
+    on_presence_change, compact_fraction:
         Forwarded to :class:`DynamicJoinForest`.
     """
 
@@ -951,7 +933,6 @@ class DynamicCQIndex(DynamicJoinForest):
         database: Database,
         on_presence_change: Optional[PresenceHook] = None,
         compact_fraction: float = DEFAULT_COMPACT_FRACTION,
-        store: Optional[str] = None,
     ):
         report = free_connex_report(query)
         if not report.tractable:
@@ -973,7 +954,6 @@ class DynamicCQIndex(DynamicJoinForest):
             reduced,
             on_presence_change=on_presence_change,
             compact_fraction=compact_fraction,
-            store=store,
         )
         # Which atom occurrences does a base relation feed?
         self._routes: Dict[str, List[int]] = {}

@@ -1,4 +1,4 @@
-"""Columnar (flat-array) bucket stores: the third ``BucketStore`` family.
+"""Columnar (flat-array) static bucket stores.
 
 The tuple-based stores pay ~1µs of interpreter overhead per tuple hop —
 one :class:`~repro.core.index._Bucket` bisect or one
@@ -13,12 +13,13 @@ module moves the static data plane onto contiguous numpy arrays:
 * :class:`FlatNode` — the per-node concatenation those views share, which
   is what the **vectorized** batch walk (:func:`flat_batch`) operates on:
   one ``searchsorted`` + one gather per level for a whole offset array,
-  instead of a python loop per answer;
-* :class:`FlatOrderTree` — a slab-allocated treap (index-based: ``left``/
-  ``right``/``weight``/``subtotal`` columns over preallocated int arrays
-  instead of ``TreeRow`` objects) implementing the same snapshot/path-copy
-  contract as :class:`~repro.core.order_tree.OrderedWeightTree`, and
-  :class:`FlatDynamicBucket`, the dynamic bucket over it.
+  instead of a python loop per answer.
+
+Dynamic indexes always keep their buckets in the object treap
+(:class:`~repro.core.dynamic._DynamicBucket` over
+:class:`~repro.core.order_tree.OrderedWeightTree`), whatever backend was
+asked for: ``store="flat"`` selects the columnar layout for static
+indexes only.
 
 Backend selection
 -----------------
@@ -35,20 +36,6 @@ keyed by ``(type, value)`` — so ``1``, ``1.0`` and ``True`` (equal, and
 hash-equal, as dict keys) keep distinct ids and round-trip exactly, like
 they do through the tuple stores.
 
-Slab-treap snapshot contract
-----------------------------
-:meth:`FlatOrderTree.snapshot` bumps the epoch and captures the current
-array references; a mutation may only edit slots stamped with the current
-epoch, so frozen slots (reachable from any snapshot root) are never
-written again — clones land in fresh slots. Growth reallocates the slabs
-by copy, leaving a snapshot's captured arrays intact. Handles are *row
-ids* (stable integers into append-only ``rows``/``keys`` lists), so —
-unlike ``TreeRow`` handles — they survive path copies and rebuilds with
-no ``on_clone`` plumbing. The two writer-bookkeeping exceptions of the
-object treap carry over unchanged: ``parent`` links describe the live
-tree only, and ``multiplicity`` (a python list indexed by row id) may be
-adjusted in place, both invisible to root-down snapshot readers.
-
 All flat weights live in int64: a forest whose count (or any per-node
 cumulative weight) reaches 2⁶² falls back to the tuple store at build
 time rather than risking overflow.
@@ -59,9 +46,6 @@ from __future__ import annotations
 import os
 from itertools import repeat as _repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.database.relation import row_sort_key
-from repro.core.order_tree import _PRIORITIES, _descending_priorities
 
 try:
     import numpy as _np
@@ -81,8 +65,6 @@ _WEIGHT_LIMIT = 2 ** 62
 #: Batches smaller than this stay on the tuple walk — numpy's fixed
 #: per-call overhead beats the vector win under a few dozen positions.
 VECTOR_MIN = 32
-
-_NIL = -1
 
 #: Number of deferred value-table materializations performed so far.
 #: Blob-backed nodes (checkpoint recovery) start with int slabs only;
@@ -750,682 +732,3 @@ def _contiguous_walk(flat: FlatNode, start: int, stop: int, out) -> None:
             _np.arange(stride, dtype=_np.int64), hi - lo
         )[shift:shift + n]
         _descend(flat, positions, remainders, out)
-
-
-# ---------------------------------------------------------------------- #
-# Slab-allocated order tree (the dynamic flat backend)                    #
-# ---------------------------------------------------------------------- #
-
-
-class FrozenFlatTree:
-    """One immutable version of a :class:`FlatOrderTree`.
-
-    Captures the root slot and the slab references at snapshot time:
-    every slot reachable from ``root`` is frozen (the live tree clones
-    into fresh slots before mutating), and growth reallocates the slabs
-    by copy, so these arrays never change under a reader.
-    """
-
-    __slots__ = ("root", "left", "right", "weight", "subtotal",
-                 "row_of", "rows", "keys")
-
-    def __init__(self, tree: "FlatOrderTree"):
-        self.root = tree.root
-        self.left = tree.left
-        self.right = tree.right
-        self.weight = tree.weight
-        self.subtotal = tree.subtotal
-        self.row_of = tree.row_of
-        self.rows = tree.rows
-        self.keys = tree.keys
-
-    # -- lossless slab export/import ------------------------------------ #
-
-    def to_slabs(self) -> Tuple[dict, Dict[str, object], List[tuple]]:
-        """``(meta, slabs, rows)`` — the frozen version as raw slabs.
-
-        Sort keys are *not* exported: ``row_sort_key`` is deterministic,
-        so :meth:`from_slabs` recomputes them bit-exactly from the rows.
-        """
-        meta = {"root": int(self.root)}
-        slabs = {
-            "left": self.left,
-            "right": self.right,
-            "weight": self.weight,
-            "subtotal": self.subtotal,
-            "row_of": self.row_of,
-        }
-        return meta, slabs, list(self.rows)
-
-    @classmethod
-    def from_slabs(cls, meta: dict, slabs: Dict[str, object],
-                   rows: List[tuple]) -> "FrozenFlatTree":
-        """Rebuild from :meth:`to_slabs` output, adopting the arrays
-        (read-only mmaps serve directly — readers never write slots)."""
-        frozen = cls.__new__(cls)
-        frozen.root = meta["root"]
-        frozen.left = slabs["left"]
-        frozen.right = slabs["right"]
-        frozen.weight = slabs["weight"]
-        frozen.subtotal = slabs["subtotal"]
-        frozen.row_of = slabs["row_of"]
-        frozen.rows = rows
-        frozen.keys = [row_sort_key(row) for row in rows]
-        return frozen
-
-
-class FlatOrderTree:
-    """A slab-allocated treap over canonically sorted weighted rows.
-
-    The index-based sibling of
-    :class:`~repro.core.order_tree.OrderedWeightTree`: node state lives in
-    parallel int64/float64 columns (``left``/``right``/``parent``/
-    ``weight``/``subtotal``/``priority``/``stamp``/``row_of``) instead of
-    per-row objects, and handles are stable integer *row ids* — indexes
-    into the append-only ``rows``/``keys``/``multiplicity`` lists, mapped
-    to the row's current live slot by ``node_of``. Same operations, same
-    costs, same snapshot/path-copy contract (see the module notes);
-    priorities draw from the shared module PRNG, so shapes stay
-    reproducible.
-    """
-
-    __slots__ = ("rows", "keys", "multiplicity", "node_of",
-                 "left", "right", "parent", "weight", "subtotal",
-                 "priority", "stamp", "row_of", "slots_used",
-                 "root", "size", "epoch")
-
-    def __init__(self, capacity: int = 16):
-        _require_numpy()
-        self.rows: List[tuple] = []
-        self.keys: List[tuple] = []
-        self.multiplicity: List[int] = []
-        self.node_of: List[int] = []
-        self._alloc(max(capacity, 4))
-        self.slots_used = 0
-        self.root = _NIL
-        self.size = 0
-        self.epoch = 0
-
-    def _alloc(self, capacity: int) -> None:
-        self.left = _np.full(capacity, _NIL, dtype=_np.int64)
-        self.right = _np.full(capacity, _NIL, dtype=_np.int64)
-        self.parent = _np.full(capacity, _NIL, dtype=_np.int64)
-        self.weight = _np.zeros(capacity, dtype=_np.int64)
-        self.subtotal = _np.zeros(capacity, dtype=_np.int64)
-        self.priority = _np.zeros(capacity, dtype=_np.float64)
-        self.stamp = _np.zeros(capacity, dtype=_np.int64)
-        self.row_of = _np.full(capacity, _NIL, dtype=_np.int64)
-
-    def _grow(self) -> None:
-        """Double the slabs by copy — captured snapshots keep the old
-        arrays, whose frozen slots are complete and never written again."""
-        used = self.slots_used
-        capacity = max(16, 2 * len(self.left))
-        for name in ("left", "right", "parent", "weight", "subtotal",
-                     "priority", "stamp", "row_of"):
-            old = getattr(self, name)
-            new = _np.full(capacity, _NIL, dtype=old.dtype) \
-                if old.dtype == _np.int64 else _np.zeros(capacity, old.dtype)
-            new[:used] = old[:used]
-            setattr(self, name, new)
-
-    def _new_row(self, row: tuple, multiplicity: int) -> int:
-        row_id = len(self.rows)
-        self.rows.append(row)
-        self.keys.append(row_sort_key(row))
-        self.multiplicity.append(multiplicity)
-        self.node_of.append(_NIL)
-        return row_id
-
-    def _new_slot(self, row_id: int, weight: int, priority: float) -> int:
-        if weight >= _WEIGHT_LIMIT:
-            raise FlatOverflowError("row weight exceeds the int64 flat limit")
-        if self.slots_used == len(self.left):
-            self._grow()
-        slot = self.slots_used
-        self.slots_used = slot + 1
-        self.left[slot] = _NIL
-        self.right[slot] = _NIL
-        self.parent[slot] = _NIL
-        self.weight[slot] = weight
-        self.subtotal[slot] = weight
-        self.priority[slot] = priority
-        self.stamp[slot] = self.epoch
-        self.row_of[slot] = row_id
-        self.node_of[row_id] = slot
-        return slot
-
-    # ------------------------------------------------------------------ #
-    # Construction                                                        #
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_sorted(
-        cls, entries: Sequence[Tuple[tuple, int, int]]
-    ) -> Tuple["FlatOrderTree", List[int]]:
-        """Bulk-build from canonically sorted ``(row, weight, mult)``;
-        returns the tree and the row ids in input order."""
-        tree = cls(capacity=max(len(entries), 4))
-        slots = []
-        for row, weight, multiplicity in entries:
-            row_id = tree._new_row(row, multiplicity)
-            slots.append(tree._new_slot(row_id, weight, 0.0))
-        tree._over_slots(slots)
-        return tree, list(range(len(entries)))
-
-    def _over_slots(self, slots: List[int]) -> None:
-        """A balanced treap over existing, key-sorted slots (reused in
-        place — the slab analog of ``OrderedWeightTree._over_nodes``)."""
-        n = len(slots)
-        self.size = n
-        if n == 0:
-            self.root = _NIL
-            return
-        left, right, parent = self.left, self.right, self.parent
-        weight, subtotal = self.weight, self.subtotal
-
-        def build(lo: int, hi: int) -> int:
-            if lo >= hi:
-                return _NIL
-            mid = (lo + hi) // 2
-            slot = slots[mid]
-            a = build(lo, mid)
-            b = build(mid + 1, hi)
-            left[slot] = a
-            right[slot] = b
-            total = weight[slot]
-            if a != _NIL:
-                parent[a] = slot
-                total += subtotal[a]
-            if b != _NIL:
-                parent[b] = slot
-                total += subtotal[b]
-            subtotal[slot] = total
-            return slot
-
-        self.root = build(0, n)
-        parent[self.root] = _NIL
-        priorities = _descending_priorities(n)
-        order = [self.root]
-        cursor = 0
-        while cursor < len(order):
-            slot = order[cursor]
-            cursor += 1
-            if left[slot] != _NIL:
-                order.append(int(left[slot]))
-            if right[slot] != _NIL:
-                order.append(int(right[slot]))
-        for slot, priority in zip(order, priorities):
-            self.priority[slot] = priority
-
-    # ------------------------------------------------------------------ #
-    # Queries                                                             #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def total(self) -> int:
-        return int(self.subtotal[self.root]) if self.root != _NIL else 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[int]:
-        """Row ids (tombstones included) in canonical order."""
-        stack: List[int] = []
-        slot = self.root
-        left, right, row_of = self.left, self.right, self.row_of
-        while stack or slot != _NIL:
-            while slot != _NIL:
-                stack.append(slot)
-                slot = int(left[slot])
-            slot = stack.pop()
-            yield int(row_of[slot])
-            slot = int(right[slot])
-
-    def row_weight(self, row_id: int) -> int:
-        return int(self.weight[self.node_of[row_id]])
-
-    def locate(self, offset: int) -> Tuple[int, int]:
-        """``(row_id, start)`` of the row whose range contains ``offset``."""
-        if not 0 <= offset < self.total:
-            raise IndexError(f"offset {offset} outside [0, {self.total})")
-        left, right, weight, subtotal = (
-            self.left, self.right, self.weight, self.subtotal,
-        )
-        slot = self.root
-        start = 0
-        remaining = offset
-        while True:
-            a = left[slot]
-            left_total = subtotal[a] if a != _NIL else 0
-            if remaining < left_total:
-                slot = a
-                continue
-            remaining -= left_total
-            start += left_total
-            w = weight[slot]
-            if remaining < w:
-                return int(self.row_of[slot]), int(start)
-            remaining -= w
-            start += w
-            slot = right[slot]
-
-    def prefix_of(self, row_id: int) -> int:
-        """``startIndex`` of the row: total weight canonically before it."""
-        left, right, weight, subtotal, parent = (
-            self.left, self.right, self.weight, self.subtotal, self.parent,
-        )
-        slot = self.node_of[row_id]
-        a = left[slot]
-        total = subtotal[a] if a != _NIL else 0
-        while parent[slot] != _NIL:
-            up = parent[slot]
-            if right[up] == slot:
-                a = left[up]
-                total += weight[up] + (subtotal[a] if a != _NIL else 0)
-            slot = up
-        return int(total)
-
-    # ------------------------------------------------------------------ #
-    # Snapshots (persistence)                                             #
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self) -> FrozenFlatTree:
-        """Freeze the current version in O(1) (see the module notes)."""
-        self.epoch += 1
-        return FrozenFlatTree(self)
-
-    def _clone(self, slot: int) -> int:
-        fresh = self._new_slot(
-            int(self.row_of[slot]), int(self.weight[slot]),
-            float(self.priority[slot]),
-        )
-        self.left[fresh] = self.left[slot]
-        self.right[fresh] = self.right[slot]
-        self.parent[fresh] = self.parent[slot]
-        self.subtotal[fresh] = self.subtotal[slot]
-        return fresh
-
-    def _own_child(self, parent_slot: int, slot: int) -> int:
-        """``slot``, made safe to mutate in the current epoch (the parent
-        must already be owned, or ``_NIL`` for the root)."""
-        if self.stamp[slot] == self.epoch:
-            return slot
-        fresh = self._clone(slot)
-        if parent_slot == _NIL:
-            self.root = fresh
-        elif self.left[parent_slot] == slot:
-            self.left[parent_slot] = fresh
-        else:
-            self.right[parent_slot] = fresh
-        self.parent[fresh] = parent_slot
-        if self.left[fresh] != _NIL:
-            self.parent[int(self.left[fresh])] = fresh
-        if self.right[fresh] != _NIL:
-            self.parent[int(self.right[fresh])] = fresh
-        return fresh
-
-    def _owned(self, slot: int) -> int:
-        """An owned version of ``slot``, path-copying its frozen spine."""
-        if self.stamp[slot] == self.epoch:
-            return slot
-        chain = [slot]
-        current = int(self.parent[slot])
-        while current != _NIL:
-            chain.append(current)
-            current = int(self.parent[current])
-        owned = _NIL
-        for current in reversed(chain):
-            owned = self._own_child(owned, current)
-        return owned
-
-    # ------------------------------------------------------------------ #
-    # Updates                                                             #
-    # ------------------------------------------------------------------ #
-
-    def set_weight(self, row_id: int, weight: int) -> None:
-        """Point weight update; ancestor subtotals fix up live-tree-up."""
-        slot = self.node_of[row_id]
-        delta = weight - int(self.weight[slot])
-        if delta == 0:
-            return
-        if weight >= _WEIGHT_LIMIT:
-            raise FlatOverflowError("row weight exceeds the int64 flat limit")
-        slot = self._owned(slot)
-        self.weight[slot] = weight
-        parent, subtotal = self.parent, self.subtotal
-        current = slot
-        while current != _NIL:
-            subtotal[current] += delta
-            current = int(parent[current])
-
-    def insert_row(self, row: tuple, weight: int, multiplicity: int) -> int:
-        """Insert a new row at its canonical position; returns its row id."""
-        row_id = self._new_row(row, multiplicity)
-        slot = self._new_slot(row_id, weight, _PRIORITIES.random())
-        self.size += 1
-        if self.root == _NIL:
-            self.root = slot
-            return row_id
-        key = self.keys[row_id]
-        keys = self.keys
-        # No slab locals here: _own_child clones may _grow() the arrays,
-        # which rebinds self.left & co. mid-descent.
-        current = self._own_child(_NIL, self.root)
-        while True:
-            self.subtotal[current] += weight
-            if key < keys[int(self.row_of[current])]:
-                nxt = int(self.left[current])
-                if nxt == _NIL:
-                    self.left[current] = slot
-                    break
-                current = self._own_child(current, nxt)
-            else:
-                nxt = int(self.right[current])
-                if nxt == _NIL:
-                    self.right[current] = slot
-                    break
-                current = self._own_child(current, nxt)
-        self.parent[slot] = current
-        priority = self.priority
-        while (self.parent[slot] != _NIL
-               and priority[slot] > priority[int(self.parent[slot])]):
-            self._rotate_up(slot)
-        return row_id
-
-    def _rotate_up(self, slot: int) -> None:
-        left, right, parent = self.left, self.right, self.parent
-        weight, subtotal = self.weight, self.subtotal
-        up = int(parent[slot])
-        grand = int(parent[up])
-        if left[up] == slot:
-            left[up] = right[slot]
-            if right[slot] != _NIL:
-                parent[int(right[slot])] = up
-            right[slot] = up
-        else:
-            right[up] = left[slot]
-            if left[slot] != _NIL:
-                parent[int(left[slot])] = up
-            left[slot] = up
-        parent[up] = slot
-        parent[slot] = grand
-        if grand == _NIL:
-            self.root = slot
-        elif left[grand] == up:
-            left[grand] = slot
-        else:
-            right[grand] = slot
-        a, b = int(left[up]), int(right[up])
-        subtotal[up] = (weight[up] + (subtotal[a] if a != _NIL else 0)
-                        + (subtotal[b] if b != _NIL else 0))
-        a, b = int(left[slot]), int(right[slot])
-        subtotal[slot] = (weight[slot] + (subtotal[a] if a != _NIL else 0)
-                          + (subtotal[b] if b != _NIL else 0))
-
-    def insert_sorted(
-        self, entries: Sequence[Tuple[tuple, int, int]]
-    ) -> List[int]:
-        """Bulk-insert canonically sorted new rows; returns their row ids.
-
-        Same split as the object treap: small batches insert one by one,
-        large ones merge with the in-order slot sequence and rebuild —
-        frozen slots are cloned first, so captured snapshots stay intact,
-        while row-id handles are untouched by construction.
-        """
-        k = len(entries)
-        if k == 0:
-            return []
-        n = self.size
-        if n and k * (n + k).bit_length() <= n + k:
-            return [
-                self.insert_row(row, weight, multiplicity)
-                for row, weight, multiplicity in entries
-            ]
-        epoch = self.epoch
-        row_ids = []
-        new_slots = []
-        for row, weight, multiplicity in entries:
-            row_id = self._new_row(row, multiplicity)
-            row_ids.append(row_id)
-            new_slots.append(self._new_slot(row_id, weight, 0.0))
-        in_order = []
-        stack: List[int] = []
-        slot = self.root
-        while stack or slot != _NIL:
-            while slot != _NIL:
-                stack.append(slot)
-                slot = int(self.left[slot])
-            slot = stack.pop()
-            in_order.append(slot)
-            slot = int(self.right[slot])
-        merged: List[int] = []
-        fresh = iter(new_slots)
-        pending = next(fresh)
-        keys, row_of = self.keys, self.row_of
-        for slot in in_order:
-            slot_key = keys[int(row_of[slot])]
-            while pending is not None and keys[int(row_of[pending])] < slot_key:
-                merged.append(pending)
-                pending = next(fresh, None)
-            if self.stamp[slot] != epoch:
-                slot = self._clone(slot)
-            merged.append(slot)
-        if pending is not None:
-            merged.append(pending)
-            merged.extend(fresh)
-        self._over_slots(merged)
-        return row_ids
-
-    def compacted(self) -> Tuple["FlatOrderTree", List[Tuple[tuple, int]]]:
-        """A fresh tree without tombstones; the old one stays intact for
-        any snapshot still holding its slabs. Returns the new tree and
-        ``(row, row_id)`` pairs for re-pointing a rank map."""
-        live = [
-            (self.rows[row_id], self.row_weight(row_id),
-             self.multiplicity[row_id])
-            for row_id in self
-            if self.multiplicity[row_id] > 0
-        ]
-        tree, row_ids = FlatOrderTree.from_sorted(live)
-        return tree, [(entry[0], row_id) for entry, row_id in zip(live, row_ids)]
-
-
-class FlatSnapshotStore:
-    """A read-only :class:`~repro.core.access_engine.BucketStore` over one
-    :class:`FrozenFlatTree` version — the slab analog of
-    :class:`~repro.core.access_engine.SnapshotBucketStore` (root-down
-    descents only; ``parent`` and ``multiplicity`` are never read)."""
-
-    __slots__ = ("frozen", "total")
-
-    #: Frozen dynamic buckets hold zero-weight tombstones.
-    unit_leaf = False
-
-    def __init__(self, frozen: FrozenFlatTree):
-        self.frozen = frozen
-        self.total = (
-            int(frozen.subtotal[frozen.root]) if frozen.root != _NIL else 0
-        )
-
-    def __len__(self) -> int:
-        count = 0
-        for __ in self.iter_rows():
-            count += 1
-        return count
-
-    def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
-        if not 0 <= offset < self.total:
-            raise IndexError(f"offset {offset} outside [0, {self.total})")
-        f = self.frozen
-        left, right, weight, subtotal = f.left, f.right, f.weight, f.subtotal
-        slot = f.root
-        start = 0
-        remaining = offset
-        while True:
-            a = left[slot]
-            left_total = subtotal[a] if a != _NIL else 0
-            if remaining < left_total:
-                slot = a
-                continue
-            remaining -= left_total
-            start += left_total
-            w = weight[slot]
-            if remaining < w:
-                return f.rows[int(f.row_of[slot])], int(start), int(w)
-            remaining -= w
-            start += w
-            slot = right[slot]
-
-    def rank_start(self, row: tuple) -> Optional[int]:
-        key = row_sort_key(row)
-        f = self.frozen
-        left, right, weight, subtotal = f.left, f.right, f.weight, f.subtotal
-        slot = f.root
-        start = 0
-        while slot != _NIL:
-            row_id = int(f.row_of[slot])
-            slot_key = f.keys[row_id]
-            a = left[slot]
-            if key < slot_key:
-                slot = a
-            elif slot_key < key:
-                start += (subtotal[a] if a != _NIL else 0) + weight[slot]
-                slot = right[slot]
-            else:
-                if weight[slot] == 0 or f.rows[row_id] != row:
-                    return None  # dangling/tombstone (or defensively absent)
-                return int(start + (subtotal[a] if a != _NIL else 0))
-        return None
-
-    def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
-        f = self.frozen
-        stack: List[int] = []
-        slot = f.root
-        while stack or slot != _NIL:
-            while slot != _NIL:
-                stack.append(slot)
-                slot = int(f.left[slot])
-            slot = stack.pop()
-            yield f.rows[int(f.row_of[slot])], int(f.weight[slot])
-            slot = int(f.right[slot])
-
-
-class FlatDynamicBucket:
-    """The dynamic columnar bucket: a :class:`FlatOrderTree` plus a
-    row → row-id rank map. Implements both the engine's
-    :class:`~repro.core.access_engine.BucketStore` protocol and the
-    row-keyed maintenance API of
-    :class:`~repro.core.dynamic._DynamicBucket`, so
-    :class:`~repro.core.dynamic.DynamicJoinForest` drives either backend
-    through identical call sites. Row-id handles are stable, so no
-    ``on_clone`` re-pointing is ever needed."""
-
-    __slots__ = ("tree", "rank", "tombstones", "_frozen")
-
-    unit_leaf = False
-
-    def __init__(self):
-        self.tree = FlatOrderTree()
-        self.rank: Dict[tuple, int] = {}
-        self.tombstones = 0
-        self._frozen: Optional[FlatSnapshotStore] = None
-
-    @classmethod
-    def from_sorted_rows(
-        cls, entries: Sequence[Tuple[tuple, int, int]]
-    ) -> "FlatDynamicBucket":
-        bucket = cls.__new__(cls)
-        bucket.tree, row_ids = FlatOrderTree.from_sorted(entries)
-        bucket.rank = {
-            entry[0]: row_id for entry, row_id in zip(entries, row_ids)
-        }
-        bucket.tombstones = sum(1 for entry in entries if entry[2] == 0)
-        bucket._frozen = None
-        return bucket
-
-    def freeze(self) -> FlatSnapshotStore:
-        if self._frozen is None:
-            self._frozen = FlatSnapshotStore(self.tree.snapshot())
-        return self._frozen
-
-    # -- BucketStore protocol ------------------------------------------ #
-
-    @property
-    def total(self) -> int:
-        return self.tree.total
-
-    def __len__(self) -> int:
-        return len(self.tree)
-
-    def locate_run(self, offset: int) -> Tuple[tuple, int, int]:
-        row_id, start = self.tree.locate(offset)
-        return self.tree.rows[row_id], start, self.tree.row_weight(row_id)
-
-    def rank_start(self, row: tuple) -> Optional[int]:
-        row_id = self.rank.get(row)
-        if row_id is None or self.tree.row_weight(row_id) == 0:
-            return None
-        return self.tree.prefix_of(row_id)
-
-    def iter_rows(self) -> Iterator[Tuple[tuple, int]]:
-        tree = self.tree
-        return (
-            (tree.rows[row_id], tree.row_weight(row_id)) for row_id in tree
-        )
-
-    # -- Row-keyed maintenance API ------------------------------------- #
-
-    def has_row(self, row: tuple) -> bool:
-        return row in self.rank
-
-    def is_present(self, row: tuple) -> bool:
-        row_id = self.rank.get(row)
-        return row_id is not None and self.tree.multiplicity[row_id] > 0
-
-    def multiplicity_of(self, row: tuple) -> Optional[int]:
-        row_id = self.rank.get(row)
-        return None if row_id is None else self.tree.multiplicity[row_id]
-
-    def set_multiplicity(self, row: tuple, multiplicity: int) -> None:
-        """In-place multiplicity write (writer bookkeeping — invisible to
-        snapshot readers), with tombstone accounting."""
-        row_id = self.rank[row]
-        was = self.tree.multiplicity[row_id] > 0
-        now = multiplicity > 0
-        self.tree.multiplicity[row_id] = multiplicity
-        if was and not now:
-            self.tombstones += 1
-        elif now and not was:
-            self.tombstones -= 1
-
-    def weight_of(self, row: tuple) -> int:
-        return self.tree.row_weight(self.rank[row])
-
-    def set_row_weight(self, row: tuple, weight: int) -> None:
-        row_id = self.rank[row]
-        if self.tree.row_weight(row_id) == weight:
-            return
-        self._frozen = None
-        self.tree.set_weight(row_id, weight)
-
-    def add_row(self, row: tuple, weight: int, multiplicity: int) -> None:
-        self._frozen = None
-        self.rank[row] = self.tree.insert_row(row, weight, multiplicity)
-        if multiplicity == 0:
-            self.tombstones += 1
-
-    def bulk_insert(self, entries: Sequence[Tuple[tuple, int, int]]) -> None:
-        if not entries:
-            return
-        self._frozen = None
-        for entry, row_id in zip(entries, self.tree.insert_sorted(entries)):
-            self.rank[entry[0]] = row_id
-            if entry[2] == 0:
-                self.tombstones += 1
-
-    def compact(self) -> None:
-        self._frozen = None
-        self.tree, pairs = self.tree.compacted()
-        self.rank = dict(pairs)
-        self.tombstones = 0

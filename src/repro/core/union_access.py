@@ -367,15 +367,11 @@ class UnionIndexSnapshot:
         head_variables: Tuple[str, ...],
         version: int,
         tables: Optional[Tuple[List[int], List[int]]] = None,
-        store: str = "tuple",
     ):
         self.member_snapshots = list(members)
         self.intersection_snapshots = dict(intersections)
         self.head_variables = head_variables
         self.version = version
-        #: The publishing union's bucket backend — carried on the
-        #: snapshot so per-backend read accounting works on pinned views.
-        self.store = store
         self._union = UnionRandomAccess(
             self.member_snapshots, self.intersection_snapshots, tables=tables
         )
@@ -466,8 +462,10 @@ class MCUCQIndex:
         self.dynamic = dynamic
         #: Backend for every member and intersection index (one family, one
         #: store — the compatibility machinery needs no further agreement,
-        #: since all backends enumerate identically).
-        self.store = flat_store.resolve_store(store)
+        #: since all backends enumerate identically). Dynamic families keep
+        #: object-treap buckets whatever was asked for, so report ``tuple``.
+        store = flat_store.resolve_store(store)
+        self.store = "tuple" if dynamic else store
         #: The service's capability marker: a dynamic union absorbs
         #: mutations in place instead of invalidating.
         self.supports_updates = dynamic
@@ -532,7 +530,6 @@ class MCUCQIndex:
                 query,
                 database,
                 on_presence_change=self._member_hook(position),
-                store=self.store,
             )
             for position, query in enumerate(ucq.queries)
         ]
@@ -557,7 +554,7 @@ class MCUCQIndex:
                     [reduced[position]] + [reduced[i] for i in sorted(subset)],
                     name=label,
                 )
-                forest = DynamicJoinForest(joined, store=self.store)
+                forest = DynamicJoinForest(joined)
                 self.intersection_indexes[(position, subset)] = forest
                 group = frozenset({position}) | subset
                 for i in group:
@@ -709,7 +706,6 @@ class MCUCQIndex:
             self.head_variables,
             self.publishes,
             tables=(self._union._overlap, self._union._suffix_count),
-            store=self.store,
         )
         self._snapshot = snapshot  # the atomic publication point
         return snapshot

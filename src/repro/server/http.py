@@ -25,6 +25,7 @@ one loop per client.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -63,23 +64,34 @@ class ASGIRequestHandler(BaseHTTPRequestHandler):
             # Draining: the server stopped admitting new work. Answer
             # quickly so clients re-resolve instead of hanging on a
             # half-closed socket.
-            payload = (b'{"error": "server is draining; '
-                       b'connection will not be served"}')
-            self.send_response(503)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-            self.close_connection = True
+            self._refuse(
+                503, "server is draining; connection will not be served"
+            )
             return
         try:
             self._run_exchange()
         finally:
             self.server.untrack_request()
 
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer ``status`` with a JSON error and close the connection."""
+        payload = json.dumps({"error": message}).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+        self.close_connection = True
+
     def _run_exchange(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Content-Length is 1*DIGIT: a negative value would block the
+        # read until the client hangs up, and garbage would raise.
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse(400, f"malformed Content-Length: {declared!r}")
+            return
+        length = int(declared)
         body = self.rfile.read(length) if length else b""
         split = urlsplit(self.path)
         scope = {

@@ -153,7 +153,13 @@ class IndexCache:
         """
         entry = self._entries.get(key)
         if entry is not None:
-            self._entries.move_to_end(key)
+            try:
+                self._entries.move_to_end(key)
+            except KeyError:
+                # A concurrent rekey/discard moved the entry away between
+                # the probe and the LRU touch. The object we hold is still
+                # the entry this read resolved, so serve it untouched.
+                pass
             self.hits += 1
             return entry
         self.misses += 1

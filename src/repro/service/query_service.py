@@ -245,13 +245,13 @@ class ServiceStats(NamedTuple):
     #: Per-backend splits of the build and snapshot-read counters above —
     #: the backend-mix signal a cost-based store tuner needs. A build
     #: counts under the backend that actually serves it (``tuple`` when a
-    #: flat build fell back on int64 overflow); a snapshot read counts
-    #: under its entry's backend.
+    #: flat build fell back on int64 overflow, and for every dynamic build
+    #: — dynamic buckets are object treaps on either backend); a snapshot
+    #: read counts under its entry's backend.
     tuple_static_builds: int = 0
     tuple_dynamic_builds: int = 0
     tuple_snapshot_reads: int = 0
     flat_static_builds: int = 0
-    flat_dynamic_builds: int = 0
     flat_snapshot_reads: int = 0
     #: Cache entries :meth:`QueryService.checkpoint` could not serialize
     #: (unpicklable and not blob-eligible) and therefore left out of the
@@ -342,10 +342,11 @@ class QueryService:
     store:
         Default bucket backend for every index this service builds:
         ``"tuple"`` or ``"flat"`` (the columnar backend, see
-        :mod:`repro.core.flat_store`). ``None`` resolves via the
-        ``REPRO_STORE`` environment variable, defaulting to ``"tuple"``.
-        :meth:`set_store_override` pins a different backend for
-        individual queries.
+        :mod:`repro.core.flat_store`; static indexes only — dynamic
+        entries keep object-treap buckets on either backend). ``None``
+        resolves via the ``REPRO_STORE`` environment variable, defaulting
+        to ``"tuple"``. :meth:`set_store_override` pins a different
+        backend for individual queries.
     degraded_probe_interval:
         Seconds between write probes while the service is degraded (see
         :class:`ServiceDegradedError`). While degraded, :meth:`apply` /
@@ -592,13 +593,14 @@ class QueryService:
         if isinstance(query, UnionOfConjunctiveQueries):
             built = MCUCQIndex(query, self._database, dynamic=dynamic, store=store)
         elif dynamic:
-            built = DynamicCQIndex(query, self._database, store=store)
+            built = DynamicCQIndex(query, self._database)
         else:
             built = CQIndex(query, self._database, store=store)
         # Count only builds that actually completed — a constructor that
         # raises (e.g. a shape-misaligned union) must not inflate stats.
         # The backend split reads the index's own ``store``: a flat build
-        # that overflowed int64 and fell back counts as tuple.
+        # that overflowed int64 and fell back, and every dynamic build,
+        # counts as tuple.
         backend = self._backend_counters[getattr(built, "store", "tuple")]
         if dynamic:
             if self._dynamic is None:
@@ -1198,7 +1200,6 @@ class QueryService:
             tuple_dynamic_builds=self._backend_counters["tuple"]["dynamic_builds"],
             tuple_snapshot_reads=self._backend_counters["tuple"]["snapshot_reads"],
             flat_static_builds=self._backend_counters["flat"]["static_builds"],
-            flat_dynamic_builds=self._backend_counters["flat"]["dynamic_builds"],
             flat_snapshot_reads=self._backend_counters["flat"]["snapshot_reads"],
             checkpoint_skipped_entries=self._checkpoint_skipped,
             wal_retries=(

@@ -1,8 +1,8 @@
 """Property-based testing of the dynamic index: arbitrary update sequences
 must leave it agreeing with naive evaluation of the resulting database.
 
-Every test takes the ``store`` fixture, so the whole contract runs once
-per bucket backend (tuple object treaps, flat slab treaps)."""
+Dynamic indexes have one bucket store; the ``store`` fixture picks the
+backend of the *static* reference index they are checked against."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +21,7 @@ operation = st.tuples(
 @settings(max_examples=100, deadline=None)
 def test_update_sequences_match_naive_evaluation(store, operations):
     db = Database([Relation("R", ("a", "b"), []), Relation("S", ("b", "c"), [])])
-    index = DynamicCQIndex(QUERY, db, store=store)
+    index = DynamicCQIndex(QUERY, db)
     live = {"R": set(), "S": set()}
 
     for use_r, is_insert, v1, v2 in operations:
@@ -47,6 +47,9 @@ def test_update_sequences_match_naive_evaluation(store, operations):
     assert len(set(answers)) == len(answers)
     for position, answer in enumerate(answers):
         assert index.inverted_access(answer) == position
+    # Position for position, like a fresh static build on either backend.
+    static = CQIndex(QUERY, current, store=store)
+    assert answers == static.batch(range(static.count))
 
 
 def _bucket_footprint(index: DynamicCQIndex):
@@ -62,16 +65,14 @@ def _bucket_footprint(index: DynamicCQIndex):
 
 @given(st.lists(operation, max_size=25))
 @settings(max_examples=60, deadline=None)
-def test_interleaved_ops_agree_with_fresh_static_index_every_step(
-    store, operations
-):
+def test_interleaved_ops_agree_with_fresh_static_index_every_step(operations):
     """After *every* step — including no-op deletes, which are applied to
     the index on purpose — the dynamic index must agree with a freshly
     built CQIndex on count, the answer set (its batched enumeration), and
     the access/inverted-access bijection; and no-op deletes must not grow
     the bucket tables."""
     db = Database([Relation("R", ("a", "b"), []), Relation("S", ("b", "c"), [])])
-    index = DynamicCQIndex(QUERY, db, store=store)
+    index = DynamicCQIndex(QUERY, db)
     live = {"R": set(), "S": set()}
 
     for use_r, is_insert, v1, v2 in operations:
@@ -115,4 +116,4 @@ def test_interleaved_ops_agree_with_fresh_static_index_every_step(
         Relation("R", ("a", "b"), sorted(live["R"])),
         Relation("S", ("b", "c"), sorted(live["S"])),
     ])
-    assert list(index) == list(DynamicCQIndex(QUERY, final, store=store))
+    assert list(index) == list(DynamicCQIndex(QUERY, final))

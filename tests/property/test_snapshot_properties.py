@@ -1,11 +1,7 @@
 """Property-based testing of snapshot isolation: a pinned snapshot must
 enumerate exactly like a fresh static build of the version it pinned —
 and must keep doing so, position for position, however much the live
-index mutates afterward.
-
-Runs once per bucket backend via the ``store`` fixture — the flat slab
-treap's copy-on-write snapshots must honor the same contract as the
-object treap's."""
+index mutates afterward."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -36,14 +32,14 @@ def _materialize(live, names_columns):
 @given(st.lists(operation, max_size=40), st.integers(0, 39))
 @settings(max_examples=80, deadline=None)
 def test_pinned_snapshot_equals_fresh_static_build_of_its_version(
-    store, operations, pin_after
+    operations, pin_after
 ):
     """Pin the published snapshot mid-stream; finish the stream; the pin
     must still enumerate exactly like a CQIndex built on the database as
     it stood at pin time (count, order, and the access/inverted-access
     bijection), and the final snapshot like the final database."""
     db = Database([Relation("R", ("a", "b"), []), Relation("S", ("b", "c"), [])])
-    index = DynamicCQIndex(QUERY, db, store=store)
+    index = DynamicCQIndex(QUERY, db)
     live = {"R": set(), "S": set()}
     shapes = [("R", ("a", "b")), ("S", ("b", "c"))]
 
@@ -80,7 +76,7 @@ def test_pinned_snapshot_equals_fresh_static_build_of_its_version(
 @given(st.lists(union_operation, max_size=25), st.integers(0, 24))
 @settings(max_examples=40, deadline=None)
 def test_pinned_union_snapshot_equals_fresh_static_union_of_its_version(
-    store, operations, pin_after
+    operations, pin_after
 ):
     """The mc-UCQ variant: a pinned union snapshot enumerates (in
     Durand–Strozecki order) exactly like a fresh static MCUCQIndex over
@@ -90,7 +86,7 @@ def test_pinned_union_snapshot_equals_fresh_static_union_of_its_version(
         Relation("S", ("b", "c"), []),
         Relation("T", ("b", "c"), []),
     ])
-    index = MCUCQIndex(UNION, db, dynamic=True, store=store)
+    index = MCUCQIndex(UNION, db, dynamic=True)
     names = ["R", "S", "T"]
     live = {name: set() for name in names}
     shapes = [("R", ("a", "b")), ("S", ("b", "c")), ("T", ("b", "c"))]

@@ -25,28 +25,13 @@ def _db():
     ])
 
 
-def _flat_buckets(entries):
-    """Flat-backend stores over ``entries``, when numpy is available:
-    the dynamic slab bucket and its frozen snapshot view."""
-    try:
-        from repro.core.flat_store import FlatDynamicBucket
-    except ImportError:
-        return []
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return []
-    dynamic = FlatDynamicBucket.from_sorted_rows(entries)
-    return [dynamic, dynamic.freeze()]
-
-
 class TestBucketStoreProtocol:
     def test_all_buckets_satisfy_the_protocol(self):
         static = _Bucket([(1,), (2,)])
         static.finalize([1, 1])
         entries = [((1,), 1, 1), ((2,), 1, 1)]
         dynamic = _DynamicBucket.from_sorted_rows(entries)
-        buckets = [static, dynamic] + _flat_buckets(entries)
+        buckets = [static, dynamic, dynamic.freeze()]
         for bucket in buckets:
             assert isinstance(bucket, access_engine.BucketStore)
             assert bucket.total == 2
@@ -64,8 +49,7 @@ class TestBucketStoreProtocol:
         flat = pytest.importorskip("repro.core.flat_store")
         pytest.importorskip("numpy")
         assert flat.FlatBucketStore.unit_leaf is True
-        assert flat.FlatDynamicBucket.unit_leaf is False
-        assert flat.FlatSnapshotStore.unit_leaf is False
+        assert access_engine.SnapshotBucketStore.unit_leaf is False
 
     def test_zero_weight_rows_do_not_rank(self):
         static = _Bucket([(1,), (2,)])
@@ -73,7 +57,7 @@ class TestBucketStoreProtocol:
         static.build_rank()
         entries = [((1,), 0, 1), ((2,), 3, 1)]
         dynamic = _DynamicBucket.from_sorted_rows(entries)
-        for bucket in [static, dynamic] + _flat_buckets(entries):
+        for bucket in [static, dynamic, dynamic.freeze()]:
             assert bucket.rank_start((1,)) is None  # dangling
             assert bucket.rank_start((2,)) == 0
             assert bucket.locate_run(0)[0] == (2,)  # skips the empty range
@@ -81,12 +65,13 @@ class TestBucketStoreProtocol:
 
 class TestEngineEquivalence:
     """The same walks produce identical results over every bucket store
-    (the ``store`` fixture runs each scenario per backend)."""
+    (the ``store`` fixture runs each scenario per static backend; dynamic
+    indexes have one backend)."""
 
     def test_static_and_dynamic_agree_everywhere(self, store):
         db = _db()
         static = CQIndex(QUERY, db, store=store)
-        dynamic = DynamicCQIndex(QUERY, db, store=store)
+        dynamic = DynamicCQIndex(QUERY, db)
         n = static.count
         assert dynamic.count == n
         positions = list(range(n))
@@ -106,7 +91,7 @@ class TestEngineEquivalence:
         with a *fresh* static build — canonical order is maintained under
         churn, not just at load."""
         db = _db()
-        dynamic = DynamicCQIndex(QUERY, db, store=store)
+        dynamic = DynamicCQIndex(QUERY, db)
         rng = random.Random(2)
         for step in range(120):
             relation = rng.choice(["R", "S", "T"])
@@ -133,7 +118,7 @@ class TestEngineEquivalence:
         db = _db()
         indexes = (
             CQIndex(QUERY, db, store=store),
-            DynamicCQIndex(QUERY, db, store=store),
+            DynamicCQIndex(QUERY, db),
         )
         for index in indexes:
             rng = random.Random(3)

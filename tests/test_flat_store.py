@@ -1,365 +1,12 @@
-"""Tests for the columnar backend: slab treap, flat buckets, selectors.
-
-The slab-treap suite mirrors ``test_order_tree.py`` — same reference
-model, same scenarios — with handles being stable integer row ids
-instead of node objects. On top of that: snapshot copy-on-write under
-every mutation kind, the read-only store views, and the backend
-selector (``resolve_store`` / ``REPRO_STORE``).
-"""
-
-import random
+"""Tests for the columnar backend's selector (``resolve_store`` /
+``REPRO_STORE``)."""
 
 import pytest
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
 from repro.core import flat_store
-from repro.core.flat_store import (
-    FlatDynamicBucket,
-    FlatOrderTree,
-    FlatOverflowError,
-    FlatSnapshotStore,
-    resolve_store,
-)
-from repro.database.relation import row_sort_key
-
-
-def _reference(entries):
-    """Sorted (row, weight, multiplicity) triples — the model the tree
-    must agree with."""
-    return sorted(entries, key=lambda e: row_sort_key(e[0]))
-
-
-def _check_against_reference(tree, rank, entries):
-    reference = _reference(entries)
-    assert len(tree) == len(reference)
-    assert tree.total == sum(w for __, w, __m in reference)
-    # In-order traversal reproduces the canonical row order.
-    assert [tree.rows[rid] for rid in tree] == [r for r, __, __m in reference]
-    running = 0
-    for row, weight, multiplicity in reference:
-        row_id = rank[row]
-        assert tree.row_weight(row_id) == weight
-        assert tree.multiplicity[row_id] == multiplicity
-        assert tree.prefix_of(row_id) == running
-        for offset in (running, running + weight - 1):
-            if weight > 0:
-                located, start = tree.locate(offset)
-                assert located == row_id
-                assert start == running
-        running += weight
-
-
-def _depth(tree):
-    def node_depth(slot):
-        if slot == flat_store._NIL:
-            return 0
-        return 1 + max(node_depth(int(tree.left[slot])),
-                       node_depth(int(tree.right[slot])))
-
-    return node_depth(tree.root)
-
-
-def _heap_ok(tree):
-    """Priority heap order and parent links, over the live slots."""
-    stack = [tree.root] if tree.root != flat_store._NIL else []
-    while stack:
-        slot = stack.pop()
-        for child in (int(tree.left[slot]), int(tree.right[slot])):
-            if child != flat_store._NIL:
-                assert tree.priority[child] <= tree.priority[slot]
-                assert tree.parent[child] == slot
-                stack.append(child)
-
-
-class TestBulkBuild:
-    def test_empty(self):
-        tree, row_ids = FlatOrderTree.from_sorted([])
-        assert tree.total == 0 and len(tree) == 0 and row_ids == []
-        with pytest.raises(IndexError):
-            tree.locate(0)
-
-    def test_build_matches_reference(self):
-        entries = _reference(
-            [((i, chr(97 + i % 3)), i % 4, 1) for i in range(50)]
-        )
-        tree, row_ids = FlatOrderTree.from_sorted(entries)
-        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
-        _check_against_reference(tree, rank, entries)
-
-    def test_heap_invariant_holds_after_bulk_build(self):
-        tree, __ = FlatOrderTree.from_sorted(
-            _reference([((i,), 1, 1) for i in range(100)])
-        )
-        _heap_ok(tree)
-
-
-class TestInsertSorted:
-    def test_small_batch_uses_individual_inserts(self):
-        entries = _reference([((i,), 1, 1) for i in range(0, 200, 2)])
-        tree, row_ids = FlatOrderTree.from_sorted(entries)
-        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
-        batch = _reference([((5,), 2, 1), ((7,), 3, 1)])
-        new = tree.insert_sorted(batch)
-        for entry, rid in zip(batch, new):
-            rank[entry[0]] = rid
-        _check_against_reference(tree, rank, entries + batch)
-
-    def test_large_batch_merge_rebuild_keeps_handles_valid(self):
-        entries = _reference([((i, "x"), 1, 1) for i in range(0, 40, 4)])
-        tree, row_ids = FlatOrderTree.from_sorted(entries)
-        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
-        batch = _reference([((i, "y"), 2, 1) for i in range(0, 40, 2)])
-        new = tree.insert_sorted(batch)
-        assert len(new) == len(batch)
-        for entry, rid in zip(batch, new):
-            rank[entry[0]] = rid
-        # Old row-id handles still resolve through prefix_of/locate.
-        _check_against_reference(tree, rank, entries + batch)
-
-    def test_bulk_insert_into_empty_tree(self):
-        tree, __ = FlatOrderTree.from_sorted([])
-        new = tree.insert_sorted(_reference([((i,), 1, 1) for i in range(9)]))
-        assert [tree.rows[rid] for rid in tree] == [(i,) for i in range(9)]
-        assert tree.total == 9 and len(new) == 9
-
-    def test_empty_batch_is_a_noop(self):
-        tree, __ = FlatOrderTree.from_sorted(_reference([((1,), 1, 1)]))
-        assert tree.insert_sorted([]) == []
-        assert tree.total == 1
-
-    def test_heap_invariant_survives_merge_rebuild(self):
-        tree, __ = FlatOrderTree.from_sorted(
-            _reference([((i,), 1, 1) for i in range(10)])
-        )
-        tree.insert_sorted(_reference([((i + 0.5,), 1, 1) for i in range(10)]))
-        _heap_ok(tree)
-
-
-class TestUpdates:
-    def test_insert_lands_at_canonical_position(self):
-        entries = _reference([((0,), 1, 1), ((4,), 1, 1), ((8,), 1, 1)])
-        tree, row_ids = FlatOrderTree.from_sorted(entries)
-        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
-        for value in (6, 2, 10, -1):
-            rank[(value,)] = tree.insert_row((value,), 2, 1)
-        expected = [((v,), 2 if v in (6, 2, 10, -1) else 1, 1)
-                    for v in (-1, 0, 2, 4, 6, 8, 10)]
-        _check_against_reference(tree, rank, expected)
-
-    def test_set_weight_and_tombstones(self):
-        entries = _reference([((i,), 1, 1) for i in range(6)])
-        tree, row_ids = FlatOrderTree.from_sorted(entries)
-        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
-        # Tombstone (2,): weight 0 keeps the survivors' prefixes compact.
-        tree.set_weight(rank[(2,)], 0)
-        tree.multiplicity[rank[(2,)]] = 0
-        assert tree.total == 5
-        assert tree.prefix_of(rank[(3,)]) == 2  # (2,) no longer counts
-        located, start = tree.locate(2)
-        assert located == rank[(3,)] and start == 2
-
-    def test_randomized_against_reference_model(self):
-        rng = random.Random(7)
-        tree, __ = FlatOrderTree.from_sorted([])
-        rank = {}
-        model = {}
-        for step in range(400):
-            action = rng.random()
-            if action < 0.5 or not model:
-                row = (rng.randrange(60), rng.randrange(3))
-                if row not in model:
-                    weight = rng.randrange(4)
-                    model[row] = (weight, 1)
-                    rank[row] = tree.insert_row(row, weight, 1)
-            else:
-                row = rng.choice(list(model))
-                weight = rng.randrange(4)
-                multiplicity = rng.randrange(2)
-                model[row] = (weight, multiplicity)
-                tree.set_weight(rank[row], weight)
-                tree.multiplicity[rank[row]] = multiplicity
-            if step % 50 == 49:
-                entries = [(row, w, m) for row, (w, m) in model.items()]
-                _check_against_reference(tree, rank, entries)
-
-    def test_compacted_drops_only_tombstones(self):
-        entries = _reference(
-            [((i,), 1 if i % 2 else 0, i % 2) for i in range(10)]
-        )
-        tree, __ = FlatOrderTree.from_sorted(entries)
-        compacted, pairs = tree.compacted()
-        assert [compacted.rows[rid] for rid in compacted] == \
-            [(i,) for i in range(10) if i % 2]
-        assert compacted.total == tree.total
-        rank = {row: rid for row, rid in pairs}
-        _check_against_reference(
-            compacted, rank, [e for e in entries if e[2] > 0]
-        )
-
-    def test_sorted_insertion_order_stays_balanced(self):
-        """Ascending inserts (the adversarial case for a plain BST) must
-        stay logarithmic — the treap's whole reason to exist."""
-        tree, __ = FlatOrderTree.from_sorted([])
-        for i in range(2000):
-            tree.insert_row((i,), 1, 1)
-        assert _depth(tree) < 60  # ~3.5x the expected 2·log2(n)
-
-    def test_weight_overflow_raises(self):
-        tree, __ = FlatOrderTree.from_sorted([])
-        with pytest.raises(FlatOverflowError):
-            tree.insert_row((0,), 2 ** 62, 1)
-        rid = tree.insert_row((1,), 1, 1)
-        with pytest.raises(FlatOverflowError):
-            tree.set_weight(rid, 2 ** 62)
-
-
-def _frozen_reference(frozen, entries):
-    """A FrozenFlatTree must serve exactly its capture-time state."""
-    store = FlatSnapshotStore(frozen)
-    reference = _reference(entries)
-    live = [(row, w) for row, w, m in reference if w > 0]
-    assert store.total == sum(w for __, w in live)
-    # iter_rows yields tombstones too (protocol: callers skip them).
-    assert list(store.iter_rows()) == [(row, w) for row, w, __m in reference]
-    running = 0
-    for row, weight in live:
-        assert store.rank_start(row) == running
-        for offset in (running, running + weight - 1):
-            located, start, w = store.locate_run(offset)
-            assert (located, start, w) == (row, running, weight)
-        running += weight
-    for row, weight, __m in reference:
-        if weight == 0:
-            assert store.rank_start(row) is None
-
-
-class TestSnapshotCopyOnWrite:
-    """Captured versions never observe later mutations of any kind."""
-
-    def _build(self, n=40):
-        entries = _reference([((i,), 1 + i % 3, 1) for i in range(n)])
-        tree, row_ids = FlatOrderTree.from_sorted(entries)
-        rank = {entry[0]: rid for entry, rid in zip(entries, row_ids)}
-        return tree, rank, entries
-
-    def test_set_weight_after_snapshot(self):
-        tree, rank, entries = self._build()
-        frozen = tree.snapshot()
-        for i in range(0, 40, 3):
-            tree.set_weight(rank[(i,)], 7)
-        _frozen_reference(frozen, entries)
-
-    def test_insert_row_after_snapshot(self):
-        tree, rank, entries = self._build()
-        frozen = tree.snapshot()
-        for i in range(25):
-            rank[(i + 0.5,)] = tree.insert_row((i + 0.5,), 2, 1)
-        _frozen_reference(frozen, entries)
-        new_entries = entries + [((i + 0.5,), 2, 1) for i in range(25)]
-        _check_against_reference(tree, rank, new_entries)
-
-    def test_large_insert_sorted_after_snapshot(self):
-        tree, rank, entries = self._build(12)
-        frozen = tree.snapshot()
-        batch = _reference([((i + 0.5,), 2, 1) for i in range(12)])
-        for entry, rid in zip(batch, tree.insert_sorted(batch)):
-            rank[entry[0]] = rid
-        _frozen_reference(frozen, entries)
-        _check_against_reference(tree, rank, entries + batch)
-
-    def test_many_epochs_stay_independent(self):
-        tree, rank, __ = self._build(10)
-        model = {row: (1 + row[0] % 3, 1) for row, __r in rank.items()}
-        captured = []
-        rng = random.Random(3)
-        for round_number in range(8):
-            captured.append((
-                tree.snapshot(),
-                [(row, w, m) for row, (w, m) in model.items()],
-            ))
-            for __ in range(6):
-                if rng.random() < 0.5:
-                    row = (rng.randrange(10), round_number)
-                    if row not in model:
-                        model[row] = (2, 1)
-                        rank[row] = tree.insert_row(row, 2, 1)
-                else:
-                    row = rng.choice(list(model))
-                    weight = rng.randrange(4)
-                    model[row] = (weight, 1 if weight else 0)
-                    tree.set_weight(rank[row], weight)
-                    tree.multiplicity[rank[row]] = model[row][1]
-        for frozen, entries in captured:
-            _frozen_reference(frozen, entries)
-
-
-class TestFlatDynamicBucket:
-    def test_protocol_and_maintenance(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 2, 1) for i in range(5)])
-        )
-        assert bucket.unit_leaf is False
-        assert bucket.total == 10
-        assert bucket.locate_run(5) == ((2,), 4, 2)
-        assert bucket.rank_start((3,)) == 6
-        assert bucket.rank_start((9,)) is None
-        assert bucket.has_row((4,)) and not bucket.has_row((9,))
-        assert bucket.is_present((4,))
-        assert bucket.multiplicity_of((4,)) == 1
-        # Delete via multiplicity 0 + weight 0: a tombstone.
-        bucket.set_multiplicity((1,), 0)
-        bucket.set_row_weight((1,), 0)
-        assert bucket.tombstones == 1
-        assert not bucket.is_present((1,))
-        assert bucket.has_row((1,))  # the row survives as a tombstone
-        assert bucket.rank_start((1,)) is None
-        assert bucket.total == 8
-        # Resurrect it.
-        bucket.set_multiplicity((1,), 2)
-        bucket.set_row_weight((1,), 2)
-        assert bucket.tombstones == 0
-        assert bucket.is_present((1,)) and bucket.total == 10
-
-    def test_freeze_is_memoized_and_invalidated(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 1, 1) for i in range(4)])
-        )
-        first = bucket.freeze()
-        assert bucket.freeze() is first  # unchanged → same frozen view
-        # An equal-weight write is a no-op and must not invalidate.
-        bucket.set_row_weight((2,), 1)
-        assert bucket.freeze() is first
-        bucket.set_row_weight((2,), 5)
-        second = bucket.freeze()
-        assert second is not first
-        assert first.total == 4 and second.total == 8
-        assert list(first.iter_rows()) == [((i,), 1) for i in range(4)]
-
-    def test_compact_drops_tombstones_and_keeps_rank(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 1, 1) for i in range(8)])
-        )
-        for i in range(0, 8, 2):
-            bucket.set_multiplicity((i,), 0)
-            bucket.set_row_weight((i,), 0)
-        assert bucket.tombstones == 4
-        bucket.compact()
-        assert bucket.tombstones == 0
-        assert bucket.total == 4
-        assert list(bucket.iter_rows()) == [((i,), 1) for i in range(1, 8, 2)]
-        assert bucket.rank_start((5,)) == 2
-        bucket.set_row_weight((5,), 3)  # old rank handles still work
-        assert bucket.total == 6
-
-    def test_bulk_insert(self):
-        bucket = FlatDynamicBucket.from_sorted_rows(
-            _reference([((i,), 1, 1) for i in range(0, 10, 2)])
-        )
-        bucket.bulk_insert(_reference([((i,), 2, 1) for i in range(1, 10, 2)]))
-        assert list(bucket.iter_rows()) == [
-            ((i,), 1 if i % 2 == 0 else 2) for i in range(10)
-        ]
+from repro.core.flat_store import resolve_store
 
 
 class TestResolveStore:

@@ -9,6 +9,8 @@ bottom, which serves a recovered durable store over a real socket — the
 import http.client
 import json
 import pathlib
+import socket
+import time
 
 import pytest
 
@@ -424,6 +426,39 @@ class TestDurableServing:
         args = build_parser().parse_args(["serve"])
         with pytest.raises(SystemExit):
             _build_serve_app(args)
+
+
+@pytest.mark.parametrize("declared", ["-1", "abc"])
+def test_malformed_content_length_is_a_prompt_400(declared):
+    """The stdlib bridge must refuse a bad Content-Length at once: a
+    negative one used to block the handler until the client hung up
+    (and hold the request in flight, stalling graceful drain); a
+    non-numeric one dropped the connection with no response."""
+    server, thread, port = start_background(create_app(fresh_db()))
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
+            started = time.monotonic()
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+            )
+            raw = b""
+            while True:  # Connection: close — the server ends the stream
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                raw += chunk
+            elapsed = time.monotonic() - started
+        head, __, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in head.lower()
+        assert declared in json.loads(body)["error"]
+        assert elapsed < 1.0
+        assert server.inflight == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
 
 
 def test_query_id_is_stable_and_structural():

@@ -256,6 +256,69 @@ class TestInvalidationOnMutation:
         assert sorted(service.batch(full, range(service.count(full)))) == sorted(dynamic)
 
 
+class TestFlatBackendDynamicEntries:
+    """``store="flat"`` is columnar for static indexes only: a dynamic
+    entry of a flat service — forced, or promoted by churn — keeps
+    object-treap buckets, reports the ``tuple`` backend, and serves
+    exactly like a fresh static flat build."""
+
+    UNION = "Q(a, b, c) :- R(a, b), S(b, c) ; Q(a, b, c) :- R(a, b), T(b, c)"
+
+    @staticmethod
+    def _db() -> Database:
+        db = fresh_db()
+        db.add(Relation("T", ("b", "c"), [(30, 301), (20, 200)]))
+        return db
+
+    @staticmethod
+    def _fresh_static(text, database):
+        from repro.core.union_access import MCUCQIndex
+
+        if ";" in text:
+            return MCUCQIndex(parse_ucq(text), database, store="flat")
+        return CQIndex(parse_cq(text), database, store="flat")
+
+    @pytest.mark.parametrize("query", [CHAIN, UNION], ids=["cq", "ucq"])
+    @pytest.mark.parametrize("mode", ["forced", "promoted"])
+    def test_serves_like_a_fresh_static_flat_index(self, mode, query):
+        pytest.importorskip("numpy")
+        if mode == "forced":
+            service = QueryService(self._db(), store="flat", dynamic=True)
+        else:
+            service = QueryService(self._db(), store="flat", promote_after=2)
+            for round_ in range(2):
+                static_entry = service.index(query)
+                assert not getattr(static_entry, "supports_updates", False)
+                assert static_entry.store == "flat"
+                service.insert("R", (40 + round_, 10))  # churn +1
+        entry = service.index(query)
+        assert entry.supports_updates
+        assert entry.store == "tuple"
+        # Mutations land in place, then every read path is compared.
+        service.insert("S", (20, 201))
+        service.insert("R", (9, 30))
+        service.delete("S", (10, 100))
+        assert service.index(query) is entry
+
+        static = self._fresh_static(query, service.database)
+        want = list(static)
+        n = static.count
+        assert service.count(query) == n == len(want) > 0
+        assert list(service.cursor(query)) == want
+        assert [t for p in range((n + 2) // 3)
+                for t in service.page(query, p, page_size=3)] == want
+        rng = random.Random(7)
+        positions = [rng.randrange(n) for __ in range(40)] + [0, n - 1, 0]
+        assert service.batch(query, positions) == static.batch(positions)
+        invert = getattr(static, "inverted_access", lambda answer: None)
+        for answer in want + [(99, 99, 99)]:
+            assert service.position_of(query, answer) == invert(answer)
+
+        stats = service.stats()
+        assert stats.tuple_dynamic_builds == 1
+        assert stats.flat_static_builds == (2 if mode == "promoted" else 0)
+
+
 class TestDynamicMutationPath:
     """The update-in-place serving mode: cached DynamicCQIndex entries
     absorb mutations; static entries invalidate; hot keys get promoted."""

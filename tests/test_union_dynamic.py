@@ -255,6 +255,27 @@ class TestWriteSafety:
         cache.discard("k2")
         assert cache.lock_for("k2") is not lock  # fresh after discard
 
+    def test_hit_survives_rekey_between_probe_and_touch(self):
+        """A writer's rekey can land between a reader's probe and its LRU
+        touch; the reader must still get the entry, not a KeyError."""
+        from collections import OrderedDict
+
+        from repro.service.cache import IndexCache
+
+        cache = IndexCache(capacity=4)
+
+        class RekeyAfterProbe(OrderedDict):
+            def get(self, key, default=None):
+                entry = super().get(key, default)
+                if key == "k1":
+                    cache.rekey("k1", "k2")
+                return entry
+
+        cache._entries = RekeyAfterProbe(cache._entries)
+        cache.get_or_build("k1", lambda: "entry")
+        assert cache.get_or_build("k1", lambda: "rebuilt") == "entry"
+        assert cache.peek("k2") == "entry"
+
     def test_concurrent_readers_and_writer_do_not_corrupt(self):
         """Single-writer smoke test: a writer hammers insert/delete while
         readers page through the same dynamic entry. Without the per-entry
